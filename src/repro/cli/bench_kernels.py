@@ -1,12 +1,13 @@
 """Kernel micro-benchmarks + baseline regression gate for ``repro bench kernels``.
 
-Times each of the four hot clustering kernels (see
-:mod:`repro.clustering.kernels`) in both implementations — ``reference``
-(interpreter-bound loops) and ``vectorized`` (masked NumPy array
-operations) — at three problem sizes, asserts that the two produce
-bit-identical results, and records the wall-clocks and speedups.  The
-record can be gated against the committed ``BENCH_kernels.json`` baseline,
-mirroring the ``BENCH_parallel.json`` protocol of the grid bench:
+Times each of the four hot clustering kernels of
+:mod:`repro.clustering.kernels` (the ``vectorized`` side: masked NumPy
+array operations) against its interpreter-bound oracle in the private
+``repro._reference`` module (the ``reference`` side) at three problem
+sizes, asserts that the two produce bit-identical results, and records the
+wall-clocks and speedups.  The record can be gated against the committed
+``BENCH_kernels.json`` baseline, mirroring the ``BENCH_parallel.json``
+protocol of the grid bench:
 
 * a **parity mismatch** is always an error (raised during the run, or a
   gate failure when a loaded record flags one) — the kernels' contract is
@@ -34,10 +35,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro import _reference
 from repro.clustering import kernels as kernel_module
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
-from repro.clustering.fosc import FOSC
-from repro.clustering.hierarchy import CondensedTree, mutual_reachability
+from repro.clustering.hierarchy import mutual_reachability
 from repro.clustering.kmeans import kmeans_plus_plus_init
 from repro.clustering.mpckmeans import _EPS, MPCKMeans
 from repro.constraints.closure import transitive_closure
@@ -106,8 +107,8 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
     distances = pairwise_distances(X)
     core = k_nearest_distances(distances, _MIN_PTS)
     mreach = mutual_reachability(distances, core)
-    edges = kernel_module.minimum_spanning_tree_vectorized(mreach)
-    merges = kernel_module.single_linkage_tree_vectorized(edges, n_samples)
+    edges = kernel_module.minimum_spanning_tree(mreach)
+    merges = kernel_module.single_linkage_tree(edges, n_samples)
 
     labeled = sample_labeled_objects(y, 0.1, random_state=_LABEL_SEED)
     closure = transitive_closure(constraints_from_labels(labeled), strict=False)
@@ -118,8 +119,8 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
         return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def fosc_reference() -> tuple:
-        tree = CondensedTree(merges, n_samples, _MIN_PTS)
-        selection = FOSC().extract(tree, closure)
+        tree = _reference.CondensedTree(merges, n_samples, _MIN_PTS)
+        selection = _reference.fosc_extract(tree, closure)
         return selection.selected_clusters, selection.labels, selection.objective
 
     def fosc_vectorized() -> tuple:
@@ -155,37 +156,37 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
     )
     order = rng.permutation(n_samples)
 
-    def mpck(mode: str) -> Callable[[], np.ndarray]:
+    def mpck(module) -> Callable[[], np.ndarray]:
         def run() -> np.ndarray:
-            return kernel_module.mpck_assign(
+            return module.mpck_assign(
                 X, weights, labels0, point_center, log_det, max_sq,
                 must_indptr, must_indices, cannot_indptr, cannot_indices,
-                order, 1.0, kernels=mode,
+                order, 1.0,
             )
         return run
 
-    def single_linkage(mode: str) -> Callable[[], np.ndarray]:
+    def single_linkage(module) -> Callable[[], np.ndarray]:
         def run() -> np.ndarray:
-            tree_edges = kernel_module.minimum_spanning_tree(mreach, kernels=mode)
-            return kernel_module.single_linkage_tree(tree_edges, n_samples, kernels=mode)
+            tree_edges = module.minimum_spanning_tree(mreach)
+            return module.single_linkage_tree(tree_edges, n_samples)
         return run
 
     return {
         "optics": KernelBenchCase(
             "optics",
-            lambda: kernel_module.optics_ordering_reference(distances, core),
-            lambda: kernel_module.optics_ordering_vectorized(distances, core),
+            lambda: _reference.optics_ordering(distances, core),
+            lambda: kernel_module.optics_ordering(distances, core),
             ordering_equal,
         ),
         "single_linkage": KernelBenchCase(
             "single_linkage",
-            single_linkage("reference"),
-            single_linkage("vectorized"),
+            single_linkage(_reference),
+            single_linkage(kernel_module),
             np.array_equal,
         ),
         "fosc": KernelBenchCase("fosc", fosc_reference, fosc_vectorized, fosc_equal),
         "mpck_assign": KernelBenchCase(
-            "mpck_assign", mpck("reference"), mpck("vectorized"), np.array_equal
+            "mpck_assign", mpck(_reference), mpck(kernel_module), np.array_equal
         ),
     }
 

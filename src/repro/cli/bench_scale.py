@@ -19,7 +19,7 @@ Parity is asserted **before** any timing is recorded:
   distance backend (a small CVCP grid per combination);
 * the approximate ``neighbors`` tier must reduce exactly to the dense
   labels in its exhaustive regime (``k = n``, ``epsilon = inf``), under
-  both kernel modes and all three executors.
+  all three executors.
 
 The record demonstrates the point of the tiers: the projected dense
 working set at ``n = 10000`` (three float64 matrices: distances, mutual
@@ -264,8 +264,8 @@ def assert_neighbor_backend_parity(n_samples: int = PARITY_N) -> str:
     The approximate-by-contract guarantee (see
     :mod:`repro.core.neighbor_graph`): at ``k_neighbors = n`` and
     ``epsilon = inf`` the sparse graphs hold every pairwise entry, so the
-    fitted labels must be bit-identical to the dense tier — under both
-    kernel modes and all three executors.  Returns the shared digest.
+    fitted labels must be bit-identical to the dense tier — under all
+    three executors.  Returns the shared digest.
     """
     from repro.clustering.fosc import FOSCOpticsDend
     from repro.constraints.generation import sample_labeled_objects
@@ -274,19 +274,14 @@ def assert_neighbor_backend_parity(n_samples: int = PARITY_N) -> str:
     from repro.utils.cache import clear_distance_cache
 
     dataset = scale_dataset(n_samples)
-    digests: dict[str, str] = {}
-    for kernels in ("vectorized", "reference"):
-        clear_distance_cache()
-        dense = FOSCOpticsDend(
-            min_pts=_MIN_PTS, kernels=kernels, distance_backend="dense"
-        ).fit(dataset.X)
-        digests[f"dense/{kernels}"] = labels_digest(dense.labels_)
-        clear_distance_cache()
-        sparse = FOSCOpticsDend(
-            min_pts=_MIN_PTS, kernels=kernels, distance_backend="neighbors",
-            epsilon=float("inf"), k_neighbors=n_samples,
-        ).fit(dataset.X)
-        digests[f"neighbors/{kernels}"] = labels_digest(sparse.labels_)
+    clear_distance_cache()
+    dense = FOSCOpticsDend(min_pts=_MIN_PTS, distance_backend="dense").fit(dataset.X)
+    clear_distance_cache()
+    sparse = FOSCOpticsDend(
+        min_pts=_MIN_PTS, distance_backend="neighbors",
+        epsilon=float("inf"), k_neighbors=n_samples,
+    ).fit(dataset.X)
+    digests = {"dense": labels_digest(dense.labels_), "neighbors": labels_digest(sparse.labels_)}
     if len(set(digests.values())) != 1:
         raise RuntimeError(
             "neighbors tier diverged from dense in the exhaustive regime "
@@ -328,7 +323,7 @@ def assert_neighbor_backend_parity(n_samples: int = PARITY_N) -> str:
                 f"{observed} != {reference}"
             )
     clear_distance_cache()
-    return digests["dense/vectorized"]
+    return digests["dense"]
 
 
 def assert_executor_parity(n_samples: int = 240) -> None:

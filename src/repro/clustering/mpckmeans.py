@@ -58,12 +58,6 @@ class MPCKMeans(BaseClusterer):
         Maximum EM iterations per restart.
     tol:
         Relative objective-improvement tolerance used to declare convergence.
-    kernels:
-        Kernel implementation for the assignment step — ``"vectorized"``
-        (CSR neighbour arrays + batched penalty math, the default) or
-        ``"reference"`` (per-point/per-neighbour Python loops); ``None``
-        consults ``REPRO_KERNELS``.  Labels are bit-identical either way;
-        see :mod:`repro.clustering.kernels`.
     random_state:
         Seed or generator.
 
@@ -93,7 +87,6 @@ class MPCKMeans(BaseClusterer):
         n_init: int = 3,
         max_iter: int = 30,
         tol: float = 1e-5,
-        kernels: str | None = None,
         random_state: RandomStateLike = None,
     ) -> None:
         self.n_clusters = n_clusters
@@ -102,7 +95,6 @@ class MPCKMeans(BaseClusterer):
         self.n_init = n_init
         self.max_iter = max_iter
         self.tol = tol
-        self.kernels = kernels
         self.random_state = random_state
 
     # ------------------------------------------------------------------
@@ -171,8 +163,7 @@ class MPCKMeans(BaseClusterer):
         weights = np.ones((n_clusters, n_features), dtype=np.float64)
         labels = self._nearest_center_labels(X, centers, weights)
 
-        # CSR neighbour views over the closure, shared by every assignment
-        # sweep (and by both kernel implementations).
+        # CSR neighbour views over the closure, shared by every assignment sweep.
         must_csr = build_neighbor_csr(must_pairs, n_samples)
         cannot_csr = build_neighbor_csr(cannot_pairs, n_samples)
 
@@ -263,8 +254,7 @@ class MPCKMeans(BaseClusterer):
         The sweep itself is one of the four hot kernels
         (:func:`~repro.clustering.kernels.mpck_assign`); the shared
         per-sweep quantities (point–centre distances, metric
-        log-determinants, cannot-link penalty scales) are computed here so
-        both kernel implementations consume identical inputs.
+        log-determinants, cannot-link penalty scales) are computed here.
         """
         n_samples = X.shape[0]
         n_clusters = centers.shape[0]
@@ -288,7 +278,6 @@ class MPCKMeans(BaseClusterer):
             cannot_csr[1],
             order,
             self.constraint_weight,
-            kernels=self.kernels,
         )
 
     @staticmethod
@@ -371,7 +360,7 @@ class MPCKMeans(BaseClusterer):
         total -= float(log_det[labels].sum())
 
         max_sq, _ = self._pair_penalties(X, weights)
-        # Same squared-difference formulation as the assignment kernels
+        # Same squared-difference formulation as the assignment kernel
         # (repro.clustering.kernels.mpck_assign), so objective and
         # assignment agree bit-for-bit on every penalty term.
         for i, j in must_pairs:

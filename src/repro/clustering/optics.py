@@ -42,13 +42,6 @@ class OPTICS(BaseClusterer):
     metric:
         Distance metric passed to
         :func:`~repro.clustering.distances.pairwise_distances`.
-    kernels:
-        Kernel implementation for the reachability sweep —
-        ``"vectorized"`` (masked array operations, the default) or
-        ``"reference"`` (the heap-based loop).  ``None`` consults the
-        ``REPRO_KERNELS`` environment variable.  Both produce
-        bit-identical orderings and reachabilities; see
-        :mod:`repro.clustering.kernels`.
     distance_backend:
         Storage tier for the pairwise-distance matrix — ``"dense"``
         (default), ``"blockwise"``, ``"memmap"`` or ``"neighbors"``;
@@ -86,7 +79,6 @@ class OPTICS(BaseClusterer):
         *,
         eps: float = np.inf,
         metric: str = "euclidean",
-        kernels: str | None = None,
         distance_backend: str | None = None,
         epsilon: float | None = None,
         k_neighbors: int | None = None,
@@ -95,7 +87,6 @@ class OPTICS(BaseClusterer):
         self.min_pts = min_pts
         self.eps = eps
         self.metric = metric
-        self.kernels = kernels
         self.distance_backend = distance_backend
         self.epsilon = epsilon
         self.k_neighbors = k_neighbors
@@ -120,8 +111,7 @@ class OPTICS(BaseClusterer):
         backend = get_distance_backend(self.distance_backend)
         if backend.name == "neighbors":
             # Sparse tier: the sweep runs over the epsilon-bounded k-NN
-            # graph; no full matrix exists.  Both kernel modes share this
-            # one implementation, so parity across modes is structural.
+            # graph; no full matrix exists.
             from repro.core.neighbor_graph import (
                 cached_neighbor_graph,
                 sparse_optics_ordering,
@@ -148,12 +138,10 @@ class OPTICS(BaseClusterer):
         self.core_distances_ = k_nearest_distances(
             distances, min_pts, block_rows=backend.block_rows(X.shape[0])
         )
-        # The sweep is one of the four hot kernels; both implementations
-        # are bit-identical (see repro.clustering.kernels).  It reads the
-        # matrix one row at a time, so memmap-backed storage streams too.
-        self.ordering_, self.reachability_ = optics_ordering(
-            distances, self.core_distances_, self.eps, kernels=self.kernels
-        )
+        # The sweep is one of the four hot kernels (see
+        # repro.clustering.kernels).  It reads the matrix one row at a
+        # time, so memmap-backed storage streams too.
+        self.ordering_, self.reachability_ = optics_ordering(distances, self.core_distances_, self.eps)
         backend.release(distances)
         if np.isfinite(self.eps):
             self.labels_ = self.extract_dbscan(self.eps)

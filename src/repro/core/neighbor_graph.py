@@ -381,12 +381,12 @@ def sparse_mst_edges(graph: csr_matrix) -> np.ndarray:
     if n <= 1:
         return np.empty((0, 3), dtype=np.float64)
     if graph.nnz == n * (n - 1):
-        from repro.clustering.kernels import minimum_spanning_tree_vectorized
+        from repro.clustering.kernels import minimum_spanning_tree
 
         # toarray() reproduces the dense mutual-reachability matrix
         # entry-for-entry: every off-diagonal entry is stored (explicit
         # zeros included) and the absent diagonal densifies to 0.0.
-        return minimum_spanning_tree_vectorized(graph.toarray())
+        return minimum_spanning_tree(graph.toarray())
     adjusted = graph.copy()
     adjusted.data = np.where(adjusted.data == 0.0, _ZERO_WEIGHT, adjusted.data)
     forest = _csgraph_mst(adjusted).tocoo()
@@ -413,8 +413,8 @@ def sparse_optics_ordering(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Epsilon-bounded OPTICS sweep over a sparse neighbour graph.
 
-    The same lazy-deletion ``(reachability, index)`` priority queue as
-    :func:`repro.clustering.kernels.optics_ordering_reference`, with the
+    A lazy-deletion ``(reachability, index)`` priority queue (the heap
+    formulation of :func:`repro.clustering.kernels.optics_ordering`), with the
     neighbour scan restricted to the stored graph rows (CSR column order
     is ascending, preserving the reference's index-order pushes).  In the
     exhaustive regime the stored rows are all other points, so ordering

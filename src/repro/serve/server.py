@@ -15,9 +15,10 @@ Endpoints (all JSON unless noted):
 
 Error mapping: validation problems → 400 with a ``problems`` list (the
 same messages ``repro validate-config`` prints), unknown ids/routes →
-404, a report requested before the job is done → 409, a full queue →
-429.  Submissions return 202 (or 200 when deduplicated onto an active
-identical job).
+404, a report requested before the job is done → 409, a request body
+larger than :data:`MAX_BODY_BYTES` → 413 (rejected before it is read),
+a full queue → 429.  Submissions return 202 (or 200 when deduplicated
+onto an active identical job).
 
 Built on :class:`http.server.ThreadingHTTPServer` (daemon threads, so
 in-flight handlers never block shutdown) — the service adds no
@@ -36,7 +37,11 @@ from repro.serve.jobs import JobManager, QueueFullError
 from repro.serve.schemas import ServeSettings
 from repro.utils.specs import SpecError
 
-__all__ = ["ReproServer", "make_server"]
+__all__ = ["MAX_BODY_BYTES", "ReproServer", "make_server"]
+
+#: Largest accepted ``POST /v1/jobs`` body.  Job requests name their data
+#: sets and configs instead of inlining them, so real bodies are a few KB.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -78,6 +83,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -153,6 +160,12 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
+        if length > MAX_BODY_BYTES:
+            # The unread body is still on the socket: drop the connection
+            # after answering instead of parsing it as the next request.
+            self.close_connection = True
+            self._send_error(413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+            return
         raw = self.rfile.read(length) if length > 0 else b""
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else None

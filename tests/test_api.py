@@ -87,15 +87,17 @@ class TestRoundTripLaw:
 
 
 class TestDeprecatedKeywords:
-    def test_loose_cvcp_keywords_warn_but_work(self):
+    def test_loose_cvcp_keywords_raise_type_error(self):
         from repro.core.cvcp import CVCP
 
         class _Estimator:
             tuned_parameter = "k"
 
-        with pytest.warns(DeprecationWarning, match="execution=ExecutionSpec"):
-            search = CVCP(_Estimator(), [2, 3], n_folds=2, backend="thread", n_jobs=2)
-        assert search.execution == ExecutionSpec(backend="thread", n_jobs=2)
+        for keyword, value in (("n_jobs", 2), ("backend", "thread"), ("distance_backend", "dense")):
+            with pytest.raises(TypeError, match=keyword):
+                CVCP(_Estimator(), [2, 3], **{keyword: value})
+        search = CVCP(_Estimator(), [2, 3], execution=ExecutionSpec(backend="thread", n_jobs=2))
+        assert (search.backend, search.n_jobs) == ("thread", 2)
 
     def test_execution_spec_alongside_loose_keywords_is_ambiguous(self):
         from repro.core.cvcp import CVCP
@@ -103,7 +105,8 @@ class TestDeprecatedKeywords:
         class _Estimator:
             tuned_parameter = "k"
 
-        with pytest.raises(ValueError, match="both"):
+        # ExecutionSpec is the only spelling, so the mix is a TypeError.
+        with pytest.raises(TypeError, match="backend"):
             CVCP(
                 _Estimator(),
                 [2, 3],
@@ -111,6 +114,12 @@ class TestDeprecatedKeywords:
                 execution=ExecutionSpec(backend="thread"),
                 backend="serial",
             )
+
+    def test_loose_select_parameter_keywords_raise_type_error(self):
+        from repro.core.cvcp import select_parameter
+
+        with pytest.raises(TypeError, match="n_jobs"):
+            select_parameter(object(), None, [2, 3], n_jobs=2)
 
     def test_spec_path_is_warning_free(self):
         with warnings.catch_warnings():

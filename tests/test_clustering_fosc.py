@@ -90,6 +90,12 @@ class TestFOSCSemiSupervised:
         model = FOSCOpticsDend(min_pts=50).fit(X)
         assert model.labels_.shape == (10,)
 
+    def test_too_few_samples_error_names_the_requested_min_pts(self):
+        # The clamp lowers min_pts=5 to 2 for one sample; the error must
+        # still report what the caller passed, not the clamped value.
+        with pytest.raises(ValueError, match=r"^min_pts=5 exceeds the number of samples 1$"):
+            FOSCOpticsDend(min_pts=5).fit(np.zeros((1, 2)))
+
     def test_invalid_min_pts(self, blobs_dataset):
         with pytest.raises(ValueError):
             FOSCOpticsDend(min_pts=0).fit(blobs_dataset.X)

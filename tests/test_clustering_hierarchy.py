@@ -5,12 +5,13 @@ import pytest
 
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
 from repro.clustering.hierarchy import (
-    CondensedTree,
+    CondensedTreeArrays,
     DensityHierarchy,
     build_single_linkage_tree,
     minimum_spanning_tree,
     mutual_reachability,
 )
+from repro.clustering.kernels import condense_tree
 
 
 @pytest.fixture()
@@ -90,7 +91,7 @@ class TestCondensedTree:
         mreach = mutual_reachability(distances, core)
         edges = minimum_spanning_tree(mreach)
         merges = build_single_linkage_tree(edges, X.shape[0])
-        return CondensedTree(merges, X.shape[0], min_cluster_size)
+        return CondensedTreeArrays(condense_tree(merges, X.shape[0], min_cluster_size))
 
     def test_two_clear_clusters_become_two_leaves(self, small_distances):
         X, _ = small_distances
@@ -145,7 +146,7 @@ class TestCondensedTree:
             self._tree(X, min_cluster_size=1)
 
     def test_degenerate_single_point_hierarchy(self):
-        tree = CondensedTree(np.empty((0, 4)), 1, 2)
+        tree = CondensedTreeArrays(condense_tree(np.empty((0, 4)), 1, 2))
         assert tree.root.members == {0}
         assert tree.leaves() == [0]
 

@@ -1,12 +1,16 @@
 """Parity tests for the vectorised clustering kernels.
 
-The contract of :mod:`repro.clustering.kernels` is *bit-identity*: for any
-input, the ``vectorized`` and ``reference`` implementations of each of the
-four hot kernels must produce exactly equal results — orderings,
-reachabilities, merge records, condensed trees, selections and labels.
-The property-based tests below drive both paths with adversarial inputs:
-duplicate points (zero distances, infinite density levels), tied distances
-(integer grids), singleton clusters, and empty constraint sets.
+The contract of :mod:`repro.clustering.kernels` is *bit-identity* with the
+interpreter-bound reference loops kept as oracles in ``repro._reference``:
+for any input, each of the four hot kernels must produce exactly the
+oracle's orderings, reachabilities, merge records, condensed trees,
+selections and labels.  The property-based tests below drive both with
+adversarial inputs: duplicate points (zero distances, infinite density
+levels), tied distances (integer grids), singleton clusters, and empty
+constraint sets.  The estimators are checked end to end by swapping the
+oracles in for the library kernels, and the MST / single-linkage stage is
+also checked against an oracle we did not write,
+:func:`scipy.cluster.hierarchy.linkage`.
 """
 
 from __future__ import annotations
@@ -14,27 +18,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
+from repro import _reference as R
+from repro.clustering import hierarchy as hierarchy_module
 from repro.clustering import kernels as K
-from repro.clustering import (
-    DEFAULT_KERNEL_MODE,
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
-    resolve_kernel_mode,
-)
+from repro.clustering import mpckmeans as mpckmeans_module
+from repro.clustering import optics as optics_module
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
-from repro.clustering.fosc import FOSC, FOSCOpticsDend
+from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import (
-    CondensedTree,
     CondensedTreeArrays,
     DensityHierarchy,
     mutual_reachability,
+    resolve_min_cluster_size,
 )
 from repro.clustering.mpckmeans import _EPS, MPCKMeans
 from repro.clustering.optics import OPTICS
 from repro.constraints import ConstraintSet, cannot_link, must_link
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK
+from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
+from repro.utils.cache import clear_distance_cache
 
 settings.register_profile("repro-kernels", max_examples=20, deadline=None)
 settings.load_profile("repro-kernels")
@@ -94,47 +100,40 @@ def constraint_sets(draw, n_samples):
     return constraints
 
 
-# ----------------------------------------------------------------------
-# Mode resolution and estimator wiring
-# ----------------------------------------------------------------------
+def reference_fosc_selection(X, constraints, min_pts, min_cluster_size=None):
+    """FOSC-OPTICSDend with every hot kernel replaced by its oracle."""
+    n_samples = X.shape[0]
+    distances = pairwise_distances(X)
+    mreach = mutual_reachability(distances, k_nearest_distances(distances, min_pts))
+    merges = R.single_linkage_tree(R.minimum_spanning_tree(mreach), n_samples)
+    tree = R.CondensedTree(merges, n_samples, resolve_min_cluster_size(min_pts, min_cluster_size))
+    return R.fosc_extract(tree, transitive_closure(constraints, strict=False))
 
-class TestKernelModeResolution:
-    def test_default_mode(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        assert resolve_kernel_mode(None) == DEFAULT_KERNEL_MODE == "vectorized"
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        assert resolve_kernel_mode("reference") == "reference"
+class ReferenceFOSCOpticsDend(FOSCOpticsDend):
+    """:class:`FOSCOpticsDend` whose labels come from the oracle pipeline."""
 
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "reference")
-        assert resolve_kernel_mode(None) == "reference"
+    def fit(self, X, constraints=None, seed_labels=None):
+        assert seed_labels is None
+        selection = reference_fosc_selection(
+            X,
+            constraints if constraints is not None else ConstraintSet(),
+            self._effective_min_pts(X),
+            self.min_cluster_size,
+        )
+        self.selection_ = selection
+        self.labels_ = selection.labels
+        return self
 
-    def test_invalid_argument_rejected(self):
-        with pytest.raises(ValueError, match="kernels"):
-            resolve_kernel_mode("numba")
 
-    def test_invalid_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match=KERNELS_ENV_VAR):
-            resolve_kernel_mode(None)
+class TestSingleImplementation:
+    def test_estimators_take_no_kernels_parameter(self):
+        for estimator in (OPTICS, FOSCOpticsDend, MPCKMeans, DensityHierarchy):
+            with pytest.raises(TypeError, match="kernels"):
+                estimator(3, kernels="reference")
 
-    def test_estimators_expose_and_clone_the_parameter(self):
-        for estimator in (
-            OPTICS(min_pts=3, kernels="reference"),
-            FOSCOpticsDend(min_pts=3, kernels="reference"),
-            MPCKMeans(n_clusters=2, kernels="reference"),
-        ):
-            assert estimator.get_params()["kernels"] == "reference"
-            assert estimator.clone().get_params()["kernels"] == "reference"
-            assert estimator.clone(kernels="vectorized").get_params()["kernels"] == "vectorized"
-
-    def test_environment_drives_the_estimators(self, blobs_dataset, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "reference")
-        model = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        assert isinstance(model.condensed_tree_, CondensedTree)
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
+    def test_repro_kernels_variable_is_not_consulted(self, blobs_dataset, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "reference")
         model = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
         assert isinstance(model.condensed_tree_, CondensedTreeArrays)
 
@@ -151,14 +150,15 @@ class TestOpticsParity:
         eps = np.inf if np.isinf(eps_offset) else float(np.median(distances) + eps_offset)
         if eps <= 0:
             eps = 0.75
-        ref = K.optics_ordering_reference(distances, core, eps)
-        vec = K.optics_ordering_vectorized(distances, core, eps)
+        ref = R.optics_ordering(distances, core, eps)
+        vec = K.optics_ordering(distances, core, eps)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
-    def test_estimator_parity_including_dbscan_extraction(self, blobs_dataset):
-        ref = OPTICS(min_pts=4, eps=2.0, kernels="reference").fit(blobs_dataset.X)
-        vec = OPTICS(min_pts=4, eps=2.0, kernels="vectorized").fit(blobs_dataset.X)
+    def test_estimator_parity_including_dbscan_extraction(self, blobs_dataset, monkeypatch):
+        vec = OPTICS(min_pts=4, eps=2.0).fit(blobs_dataset.X)
+        monkeypatch.setattr(optics_module, "optics_ordering", R.optics_ordering)
+        ref = OPTICS(min_pts=4, eps=2.0).fit(blobs_dataset.X)
         assert np.array_equal(ref.ordering_, vec.ordering_)
         assert np.array_equal(ref.reachability_, vec.reachability_)
         assert np.array_equal(ref.labels_, vec.labels_)
@@ -167,8 +167,8 @@ class TestOpticsParity:
         X = np.zeros((7, 2))
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, 3)
-        ref = K.optics_ordering_reference(distances, core)
-        vec = K.optics_ordering_vectorized(distances, core)
+        ref = R.optics_ordering(distances, core)
+        vec = K.optics_ordering(distances, core)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
@@ -176,8 +176,8 @@ class TestOpticsParity:
         X = np.array([[0.0], [0.1], [0.2], [50.0], [50.1], [99.0]])
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, 2)
-        ref = K.optics_ordering_reference(distances, core, 1.0)
-        vec = K.optics_ordering_vectorized(distances, core, 1.0)
+        ref = R.optics_ordering(distances, core, 1.0)
+        vec = K.optics_ordering(distances, core, 1.0)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
@@ -192,21 +192,21 @@ class TestSingleLinkageParity:
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
         mreach = mutual_reachability(distances, core)
-        ref_edges = K.minimum_spanning_tree_reference(mreach)
-        vec_edges = K.minimum_spanning_tree_vectorized(mreach)
+        ref_edges = R.minimum_spanning_tree(mreach)
+        vec_edges = K.minimum_spanning_tree(mreach)
         assert np.array_equal(ref_edges, vec_edges)
-        ref_tree = K.single_linkage_tree_reference(ref_edges, X.shape[0])
-        vec_tree = K.single_linkage_tree_vectorized(ref_edges, X.shape[0])
+        ref_tree = R.single_linkage_tree(ref_edges, X.shape[0])
+        vec_tree = K.single_linkage_tree(ref_edges, X.shape[0])
         assert np.array_equal(ref_tree, vec_tree)
 
     def test_tiny_inputs(self):
-        for mode in KERNEL_MODES:
-            assert K.minimum_spanning_tree(np.zeros((1, 1)), kernels=mode).shape == (0, 3)
+        for implementation in (K, R):
+            assert implementation.minimum_spanning_tree(np.zeros((1, 1))).shape == (0, 3)
 
     def test_wrong_edge_count_rejected_by_both(self):
-        for mode in KERNEL_MODES:
+        for implementation in (K, R):
             with pytest.raises(ValueError):
-                K.single_linkage_tree(np.zeros((2, 3)), 6, kernels=mode)
+                implementation.single_linkage_tree(np.zeros((2, 3)), 6)
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +217,15 @@ def _merge_records(X, min_pts):
     distances = pairwise_distances(X)
     core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
     mreach = mutual_reachability(distances, core)
-    edges = K.minimum_spanning_tree_vectorized(mreach)
-    return K.single_linkage_tree_vectorized(edges, X.shape[0])
+    edges = K.minimum_spanning_tree(mreach)
+    return K.single_linkage_tree(edges, X.shape[0])
 
 
 class TestCondensedTreeParity:
     @given(adversarial_datasets(min_samples=5), st.integers(2, 5), st.integers(2, 4))
     def test_structure_lambdas_and_stabilities_bit_identical(self, X, min_pts, min_cluster_size):
         merges = _merge_records(X, min_pts)
-        reference = CondensedTree(merges, X.shape[0], min_cluster_size)
+        reference = R.CondensedTree(merges, X.shape[0], min_cluster_size)
         data = K.condense_tree(merges, X.shape[0], min_cluster_size)
 
         assert len(reference.clusters) == data.n_clusters
@@ -254,9 +254,9 @@ class TestCondensedTreeParity:
     def test_fosc_extraction_bit_identical(self, X, min_cluster_size):
         merges = _merge_records(X, 3)
         constraints = ConstraintSet()
-        reference = CondensedTree(merges, X.shape[0], min_cluster_size)
+        reference = R.CondensedTree(merges, X.shape[0], min_cluster_size)
         data = K.condense_tree(merges, X.shape[0], min_cluster_size)
-        ref_sel = FOSC().extract(reference, constraints)
+        ref_sel = R.fosc_extract(reference, constraints)
         i_idx, j_idx, kinds = constraints.as_arrays()
         selected, labels, objective, used = K.fosc_extract(
             data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
@@ -272,9 +272,9 @@ class TestCondensedTreeParity:
         constraints = data_strategy.draw(constraint_sets(X.shape[0]))
         closure = transitive_closure(constraints, strict=False)
         merges = _merge_records(X, 3)
-        reference = CondensedTree(merges, X.shape[0], 3)
+        reference = R.CondensedTree(merges, X.shape[0], 3)
         data = K.condense_tree(merges, X.shape[0], 3)
-        ref_sel = FOSC().extract(reference, closure)
+        ref_sel = R.fosc_extract(reference, closure)
         i_idx, j_idx, kinds = closure.as_arrays()
         selected, labels, objective, used = K.fosc_extract(
             data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
@@ -300,10 +300,16 @@ class TestCondensedTreeParity:
         with pytest.raises(ValueError):
             K.condense_tree(np.empty((0, 4)), 1, 1)
 
-    def test_array_tree_compat_api_matches_reference(self, blobs_dataset):
-        ref = DensityHierarchy(min_pts=4, kernels="reference").fit(blobs_dataset.X)
-        vec = DensityHierarchy(min_pts=4, kernels="vectorized").fit(blobs_dataset.X)
-        ref_tree, vec_tree = ref.condensed_tree_, vec.condensed_tree_
+    def test_array_tree_compat_api_matches_reference(self, blobs_dataset, monkeypatch):
+        n_samples = blobs_dataset.n_samples
+        vec = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
+        monkeypatch.setattr(hierarchy_module, "minimum_spanning_tree", R.minimum_spanning_tree)
+        monkeypatch.setattr(hierarchy_module, "build_single_linkage_tree", R.single_linkage_tree)
+        ref = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
+        assert np.array_equal(ref.mst_edges_, vec.mst_edges_)
+        assert np.array_equal(ref.single_linkage_tree_, vec.single_linkage_tree_)
+        ref_tree = R.CondensedTree(ref.single_linkage_tree_, n_samples, ref.min_cluster_size)
+        vec_tree = vec.condensed_tree_
         assert isinstance(vec_tree, CondensedTreeArrays)
         assert sorted(vec_tree.leaves()) == sorted(ref_tree.leaves())
         assert vec_tree.selectable_clusters() == ref_tree.selectable_clusters()
@@ -354,9 +360,7 @@ class TestMpckAssignParity:
 
         args = (X, weights, labels, distances, log_det, max_sq,
                 must_indptr, must_indices, cannot_indptr, cannot_indices, order, 1.5)
-        assert np.array_equal(
-            K.mpck_assign_reference(*args), K.mpck_assign_vectorized(*args)
-        )
+        assert np.array_equal(R.mpck_assign(*args), K.mpck_assign(*args))
 
     def test_csr_neighbor_order_matches_pairwise_appends(self):
         pairs = np.array([[3, 1], [0, 3], [3, 2], [2, 0]], dtype=np.intp)
@@ -372,16 +376,15 @@ class TestMpckAssignParity:
         assert indptr.tolist() == [0, 0, 0, 0, 0]
         assert indices.size == 0
 
-    def test_full_estimator_parity(self, iris_like_dataset, rng):
+    def test_full_estimator_parity(self, iris_like_dataset, rng, monkeypatch):
         data = iris_like_dataset
         labeled = {int(i): int(data.y[i]) for i in rng.choice(data.n_samples, 20, replace=False)}
         from repro.constraints import constraints_from_labels
 
         constraints = constraints_from_labels(labeled)
-        ref = MPCKMeans(n_clusters=3, random_state=5, n_init=2, kernels="reference")
-        vec = MPCKMeans(n_clusters=3, random_state=5, n_init=2, kernels="vectorized")
-        ref.fit(data.X, constraints)
-        vec.fit(data.X, constraints)
+        vec = MPCKMeans(n_clusters=3, random_state=5, n_init=2).fit(data.X, constraints)
+        monkeypatch.setattr(mpckmeans_module, "mpck_assign", R.mpck_assign)
+        ref = MPCKMeans(n_clusters=3, random_state=5, n_init=2).fit(data.X, constraints)
         assert np.array_equal(ref.labels_, vec.labels_)
         assert ref.objective_ == vec.objective_
         assert ref.n_iter_ == vec.n_iter_
@@ -401,11 +404,11 @@ class TestEndToEndParity:
         dataset = make_blobs([12, 12, 12], 2, center_spread=9.0, cluster_std=0.8,
                              random_state=seed % 100, name="kernel-parity")
         constraints = ConstraintSet([must_link(0, 1), cannot_link(0, 12), cannot_link(12, 24)])
-        ref = FOSCOpticsDend(min_pts=4, kernels="reference").fit(dataset.X, constraints)
-        vec = FOSCOpticsDend(min_pts=4, kernels="vectorized").fit(dataset.X, constraints)
-        assert np.array_equal(ref.labels_, vec.labels_)
-        assert ref.selection_.selected_clusters == vec.selection_.selected_clusters
-        assert ref.selection_.objective == vec.selection_.objective
+        ref = reference_fosc_selection(dataset.X, constraints, 4)
+        vec = FOSCOpticsDend(min_pts=4).fit(dataset.X, constraints)
+        assert np.array_equal(ref.labels, vec.labels_)
+        assert ref.selected_clusters == vec.selection_.selected_clusters
+        assert ref.objective == vec.selection_.objective
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_cvcp_selects_identically_across_kernels_and_backends(self, backend, blobs_dataset):
@@ -415,17 +418,61 @@ class TestEndToEndParity:
 
         side = sample_labeled_objects(blobs_dataset.y, 0.2, random_state=1)
         results = {}
-        for mode in KERNEL_MODES:
+        for name, estimator in (
+            ("library", FOSCOpticsDend()), ("reference", ReferenceFOSCOpticsDend())
+        ):
             search = CVCP(
-                FOSCOpticsDend(kernels=mode),
+                estimator,
                 parameter_values=[3, 6],
                 n_folds=3,
                 random_state=7,
                 execution=ExecutionSpec(backend=backend, n_jobs=2),
             )
             search.fit(blobs_dataset.X, labeled_objects=side)
-            results[mode] = (
+            results[name] = (
                 dict(search.best_params_),
                 [list(e.fold_scores) for e in search.cv_results_.evaluations],
+                search.labels_.tolist(),
             )
-        assert results["vectorized"] == results["reference"]
+        assert results["library"] == results["reference"]
+
+
+# ----------------------------------------------------------------------
+# Third-party oracle: scipy single linkage on the mutual reachability
+# ----------------------------------------------------------------------
+
+@st.composite
+def oracle_datasets(draw):
+    """Random, duplicate-heavy and tie-heavy (integer lattice) data sets."""
+    kind = draw(st.sampled_from(["random", "duplicates", "ties"]))
+    if kind != "random":
+        return draw(adversarial_datasets(min_samples=4, max_samples=40))
+    n_samples = draw(st.integers(4, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).normal(size=(n_samples, draw(st.integers(1, 3))))
+
+
+class TestScipyLinkageOracle:
+    """The MST weight multiset and the sorted merge heights are unique even
+    under ties, so they must equal scipy's single-linkage heights exactly on
+    every exact tier and in the neighbors tier's exhaustive regime."""
+
+    @given(oracle_datasets(), st.integers(1, 5))
+    def test_mst_weights_and_merge_heights_match_scipy(self, X, min_pts):
+        n_samples = X.shape[0]
+        min_pts = min(min_pts, n_samples)
+        tiers = [{"distance_backend": name} for name in EXACT_DISTANCE_BACKENDS]
+        tiers.append(
+            {"distance_backend": "neighbors", "epsilon": np.inf, "k_neighbors": n_samples}
+        )
+        for tier in tiers:
+            clear_distance_cache()
+            fitted = DensityHierarchy(min_pts, **tier).fit(X)
+            mreach = fitted.mutual_reachability_
+            mreach = mreach.toarray() if hasattr(mreach, "toarray") else np.array(mreach)
+            np.fill_diagonal(mreach, 0.0)
+            heights = linkage(squareform(mreach, checks=False), method="single")[:, 2]
+            expected = np.sort(heights)
+            assert np.array_equal(np.sort(fitted.mst_edges_[:, 2]), expected), tier
+            assert np.array_equal(np.sort(fitted.single_linkage_tree_[:, 2]), expected), tier
+        clear_distance_cache()

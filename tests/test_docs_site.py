@@ -242,19 +242,23 @@ class TestSchemaDocsInSync:
 
     def test_performance_page_documents_the_kernel_subsystem(self):
         from repro.cli.bench_kernels import KERNEL_NAMES
-        from repro.clustering.kernels import KERNEL_MODES, KERNELS_ENV_VAR
 
         performance_page = (DOCS_DIR / "performance.md").read_text(encoding="utf-8")
         for kernel in KERNEL_NAMES:
             assert f"`{kernel}`" in performance_page, f"kernel {kernel} undocumented"
-        for mode in KERNEL_MODES:
-            assert mode in performance_page
-        assert KERNELS_ENV_VAR in performance_page
+        assert "repro._reference" in performance_page  # where the oracles live
         assert "BENCH_kernels.json" in performance_page
         assert "repro bench kernels" in performance_page
         # The tuning axes the guide promises to cover.
         for axis in ("backend", "n_jobs", "cache"):
             assert axis in performance_page
+
+    def test_no_page_mentions_the_retired_kernel_option(self):
+        pages = [*sorted(DOCS_DIR.rglob("*.md")), REPO_ROOT / "README.md"]
+        for page in pages:
+            text = page.read_text(encoding="utf-8")
+            for retired in ("REPRO_KERNELS", "kernels="):
+                assert retired not in text, f"{page.name} still mentions {retired}"
 
     def test_architecture_page_covers_oracles_and_kernels(self):
         architecture_page = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")

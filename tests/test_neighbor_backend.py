@@ -1,7 +1,7 @@
 """Tests for ``distance_backend="neighbors"`` as a full execution tier.
 
 Mirrors ``tests/test_distance_backend.py`` one tier up: the parity matrix
-across the serial/thread/process executors and both kernel modes, the
+across the serial/thread/process executors, the
 ``ExecutionSpec``/``validate-config`` surface for ``epsilon``/``k_neighbors``,
 the consumers that must reject the tier with a clear problem instead of a
 traceback, and the artifact-store fingerprinting contract (exact tiers
@@ -29,16 +29,15 @@ from repro.utils.cache import clear_distance_cache
 from repro.utils.specs import SpecError
 
 EXECUTORS = ("serial", "thread", "process")
-KERNEL_MODES = ("vectorized", "reference")
 
 LABELED = {0: 0, 5: 0, 21: 1, 26: 1, 41: 2, 46: 2, 10: 0, 30: 1}
 
 
-def cvcp_observation(dataset, *, kernels, spec):
+def cvcp_observation(dataset, *, spec):
     """Fit one CVCP grid and return its comparable outcome tuple."""
     clear_distance_cache()
     search = CVCP(
-        FOSCOpticsDend(min_pts=5, kernels=kernels),
+        FOSCOpticsDend(min_pts=5),
         parameter_values=[3, 6],
         n_folds=3,
         random_state=11,
@@ -102,7 +101,7 @@ class TestExecutionSpecSurface:
 
 
 class TestParityMatrix:
-    """Satellite 2: neighbors × executors × kernel modes.
+    """The neighbors tier × executors.
 
     In the exhaustive regime every axis must reproduce the dense/serial
     reference bit-for-bit; at a fixed practical epsilon the observations
@@ -113,18 +112,15 @@ class TestParityMatrix:
     def dense_reference(self, blobs_dataset):
         return cvcp_observation(
             blobs_dataset,
-            kernels="vectorized",
             spec=ExecutionSpec(backend="serial", distance_backend="dense"),
         )
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     def test_exhaustive_regime_matches_dense_reference(
-        self, blobs_dataset, dense_reference, executor, kernels
+        self, blobs_dataset, dense_reference, executor
     ):
         observed = cvcp_observation(
             blobs_dataset,
-            kernels=kernels,
             spec=ExecutionSpec(
                 backend=executor,
                 n_jobs=2,
@@ -138,22 +134,20 @@ class TestParityMatrix:
     def test_practical_epsilon_is_identical_across_all_axes(self, blobs_dataset):
         reference = None
         for executor in EXECUTORS:
-            for kernels in KERNEL_MODES:
-                observed = cvcp_observation(
-                    blobs_dataset,
-                    kernels=kernels,
-                    spec=ExecutionSpec(
-                        backend=executor,
-                        n_jobs=2,
-                        distance_backend="neighbors",
-                        epsilon=6.0,
-                        k_neighbors=12,
-                    ),
-                )
-                if reference is None:
-                    reference = observed
-                else:
-                    assert observed == reference
+            observed = cvcp_observation(
+                blobs_dataset,
+                spec=ExecutionSpec(
+                    backend=executor,
+                    n_jobs=2,
+                    distance_backend="neighbors",
+                    epsilon=6.0,
+                    k_neighbors=12,
+                ),
+            )
+            if reference is None:
+                reference = observed
+            else:
+                assert observed == reference
 
     def test_cvcp_passes_the_knobs_to_estimator_clones(self):
         search = CVCP(

@@ -100,7 +100,7 @@ def assert_exhaustive_matches_dense(X):
     np.testing.assert_array_equal(mst_sparse, mst_dense)
 
     ordering_sparse, reach_sparse = sparse_optics_ordering(graph.graph, core_sparse)
-    ordering_dense, reach_dense = optics_ordering(dense, core_dense, kernels="reference")
+    ordering_dense, reach_dense = optics_ordering(dense, core_dense)
     np.testing.assert_array_equal(ordering_sparse, ordering_dense)
     np.testing.assert_array_equal(reach_sparse, reach_dense)
 

@@ -3,7 +3,7 @@
 The incremental contract: every constraint delta's re-selection must be
 bit-identical — selected parameter, per-cell fold scores, refit labels —
 to a cold CVCP run on the same accumulated constraint set, on every
-executor backend and in both kernel modes; the cached structures and the
+executor backend; the cached structures and the
 artifact store may only remove redundant work, never change an answer.
 A replay killed mid-stream (a real SIGKILL through a subprocess) must
 resume into a byte-identical report.
@@ -129,18 +129,6 @@ class TestDeltaEquivalence:
             iris, 0.1, config=config, stream=stream, random_state=TINY.seed, store=store
         )
         references = reference_selections(iris, 0.1, config, stream, TINY.seed)
-        assert_delta_equivalent(replay, references)
-
-    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
-    def test_both_kernel_modes_are_equivalent(self, iris, tmp_path, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", mode)
-        clear_distance_cache()
-        stream = StreamSpec(n_deltas=3)
-        store = ArtifactStore(tmp_path / "store")
-        replay = replay_constraint_stream(
-            iris, 0.1, config=TINY, stream=stream, random_state=TINY.seed, store=store
-        )
-        references = reference_selections(iris, 0.1, TINY, stream, TINY.seed)
         assert_delta_equivalent(replay, references)
 
     def test_store_does_not_change_the_replay(self, iris, tmp_path):

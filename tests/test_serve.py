@@ -198,6 +198,28 @@ class TestServeHTTP:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
 
+    def test_oversized_body_is_413_without_being_read(self, server):
+        import http.client
+
+        from repro.serve.server import MAX_BODY_BYTES
+
+        instance, client = server
+        host, port = instance.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            # Announce one byte over the cap but send no body: a server that
+            # tried to read it would block until the timeout.
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert str(MAX_BODY_BYTES) in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert client.jobs() == []
+
     def test_invalid_spec_is_400_with_problems(self, server):
         _, client = server
         bad = tiny_spec()

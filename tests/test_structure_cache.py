@@ -2,7 +2,7 @@
 
 The incremental CVCP machinery rests on one invariant: a FOSC tree
 structure depends only on the data content and the (effective) MinPts —
-never on constraints, folds, seeds, oracles or the kernel mode.  These
+never on constraints, folds, seeds or oracles.  These
 tests pin the payload round-trip (including non-finite lambdas), the
 memo-first store path with its hit/miss accounting, the exact-tier key
 collapse, and the approximate tier's key isolation.
@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.clustering.fosc import FOSCOpticsDend
+from repro.clustering.fosc import FOSC
 from repro.clustering.hierarchy import (
     build_tree_structure,
     cached_tree_structure,
@@ -70,24 +70,17 @@ class TestPayloadRoundTrip:
         rebuilt = structure_from_payload(json.loads(text))
         assert_structures_identical(structure, rebuilt)
 
-    @pytest.mark.parametrize("decode_mode", ["vectorized", "reference"])
-    def test_decoded_structure_extracts_identically(self, X, decode_mode, monkeypatch):
+    def test_decoded_structure_extracts_identically(self, X):
         structure = build_tree_structure(X, 4)
         payload = json.loads(json.dumps(structure_payload(structure)))
-        reference = FOSCOpticsDend(min_pts=4).fit(X).labels_.tolist()
-
-        monkeypatch.setenv("REPRO_KERNELS", decode_mode)
-        clear_distance_cache()
-        rebuilt = structure_from_payload(payload, kernels=decode_mode)
+        rebuilt = structure_from_payload(payload)
         assert_structures_identical(structure, rebuilt)
-
-    def test_both_kernel_modes_emit_the_same_payload(self, X, monkeypatch):
-        payloads = {}
-        for mode in ("vectorized", "reference"):
-            monkeypatch.setenv("REPRO_KERNELS", mode)
-            clear_distance_cache()
-            payloads[mode] = structure_payload(build_tree_structure(X, 4, kernels=mode))
-        assert payloads["vectorized"] == payloads["reference"]
+        assert structure_payload(rebuilt) == structure_payload(structure)
+        expected = FOSC().extract(structure.condensed_tree)
+        observed = FOSC().extract(rebuilt.condensed_tree)
+        assert observed.selected_clusters == expected.selected_clusters
+        assert np.array_equal(observed.labels, expected.labels)
+        assert observed.objective == expected.objective
 
 
 class TestMemoPeek:
