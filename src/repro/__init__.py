@@ -74,7 +74,7 @@ from repro.datasets import (
     get_dataset_collection,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "__version__",

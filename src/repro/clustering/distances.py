@@ -2,8 +2,8 @@
 
 Distances are computed in fixed-width **row panels** (:data:`DEFAULT_BLOCK_ROWS`
 rows per panel).  The panel partition — not the storage tier — defines the
-canonical floating-point result: every distance backend (dense in-RAM,
-blockwise streaming, out-of-core memmap; see
+canonical floating-point result: every exact distance backend (in-RAM
+``dense``/``blockwise``, out-of-core ``memmap``; see
 :mod:`repro.core.distance_backend`) performs the identical per-panel NumPy
 operations and therefore produces **bit-identical** matrices by construction.
 For ``n <= DEFAULT_BLOCK_ROWS`` (every paper-scale data set) a single panel
@@ -406,9 +406,7 @@ def weighted_squared_distance(x: np.ndarray, y: np.ndarray, weights: np.ndarray)
     return float(np.dot(diff * np.asarray(weights, dtype=np.float64), diff))
 
 
-def k_nearest_distances(
-    distance_matrix: np.ndarray, k: int, *, block_rows: int | None = None
-) -> np.ndarray:
+def k_nearest_distances(distance_matrix: np.ndarray, k: int) -> np.ndarray:
     """Distance to the ``k``-th nearest neighbour for every object.
 
     The object itself is counted as its own 1st neighbour (distance 0), so
@@ -422,26 +420,20 @@ def k_nearest_distances(
         ``np.memmap``).
     k:
         Neighbour rank, ``1 <= k <= n``.
-    block_rows:
-        When given, the row-wise partition runs block-at-a-time so the
-        peak temporary is ``(block_rows, n)`` instead of the full-matrix
-        copy ``np.partition`` makes.  Results are bit-identical either way
-        (the selection is independent per row); the streaming variant is
-        what the blockwise/memmap distance backends use.
+
+    The row-wise partition runs in blocks of :data:`DEFAULT_BLOCK_ROWS`
+    rows, so the peak temporary is one ``(DEFAULT_BLOCK_ROWS, n)`` block,
+    never a full-matrix copy.  The selection is independent per row, so
+    the result equals a whole-matrix ``np.partition`` bit for bit.
     """
     # Plain asarray: zero-copy for any ndarray/memmap, converts array-likes.
     distance_matrix = np.asarray(distance_matrix)
     n = distance_matrix.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if block_rows is None:
-        distance_matrix = np.asarray(distance_matrix, dtype=np.float64)
-        partitioned = np.partition(distance_matrix, k - 1, axis=1)
-        return partitioned[:, k - 1]
-    block = _resolve_block_rows(block_rows)
     core = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, DEFAULT_BLOCK_ROWS):
+        stop = min(start + DEFAULT_BLOCK_ROWS, n)
         rows = np.asarray(distance_matrix[start:stop], dtype=np.float64)
         core[start:stop] = np.partition(rows, k - 1, axis=1)[:, k - 1]
     return core

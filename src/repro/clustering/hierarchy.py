@@ -10,8 +10,11 @@ with ``core_k`` the distance to the ``MinPts``-th nearest neighbour (this is
 the construction used by HDBSCAN*, whose authors are the FOSC authors).  The
 module provides:
 
-* :func:`mutual_reachability` — the transformed distance matrix;
-* :func:`minimum_spanning_tree` — a dense Prim MST over it;
+* :func:`mutual_reachability` — the transformed distances, as the square
+  matrix or one row block at a time;
+* :func:`minimum_spanning_tree` — a dense Prim MST over the mutual
+  reachability distance, computing one row per step from the raw
+  distances (the square matrix is never built);
 * :func:`build_single_linkage_tree` — the dendrogram as merge records;
 * :class:`CondensedTreeArrays` — the hierarchy simplified with a minimum
   cluster size, exposing per-cluster membership, stability and the
@@ -34,57 +37,10 @@ import numpy as np
 from repro.clustering import kernels as _kernels
 from repro.clustering.distances import k_nearest_distances
 from repro.clustering.kernels import minimum_spanning_tree
+from repro.clustering.kernels import mutual_reachability as mutual_reachability  # re-export
 from repro.clustering.kernels import single_linkage_tree as build_single_linkage_tree
 from repro.utils.cache import MemoCache, array_fingerprint, cached_pairwise_distances
 from repro.utils.validation import check_array_2d, check_positive_int
-
-
-def mutual_reachability(
-    distances: np.ndarray,
-    core_distances: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    block_rows: int | None = None,
-) -> np.ndarray:
-    """Mutual reachability distance matrix.
-
-    Parameters
-    ----------
-    distances:
-        ``(n, n)`` raw distance matrix (in-RAM or memmap).
-    core_distances:
-        ``(n,)`` core distance per object.
-    out:
-        Optional ``(n, n)`` float64 output (e.g. a
-        :meth:`~repro.core.distance_backend.DistanceBackend.derived_matrix`
-        spill) to fill instead of allocating.
-    block_rows:
-        When given, the transform streams in row blocks with a bounded
-        working set instead of materialising full-matrix temporaries.  The
-        per-entry operations are identical, so all variants are
-        bit-identical.
-    """
-    core_distances = np.asarray(core_distances, dtype=np.float64)
-    if out is None and block_rows is None:
-        distances = np.asarray(distances, dtype=np.float64)
-        mreach = np.maximum(distances, core_distances[:, None])
-        np.maximum(mreach, core_distances[None, :], out=mreach)
-        np.fill_diagonal(mreach, 0.0)
-        return mreach
-    n = core_distances.shape[0]
-    if out is None:
-        out = np.empty((n, n), dtype=np.float64)
-    block = block_rows if block_rows is not None else n
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        panel = np.maximum(
-            np.asarray(distances[start:stop], dtype=np.float64),
-            core_distances[start:stop, None],
-        )
-        np.maximum(panel, core_distances[None, :], out=panel)
-        panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        out[start:stop] = panel
-    return out
 
 
 @dataclass
@@ -222,16 +178,13 @@ class DensityHierarchy:
     metric:
         Distance metric.
     distance_backend:
-        Storage tier for the pairwise and mutual-reachability matrices —
-        ``"dense"`` (default, whole-matrix in RAM), ``"blockwise"``
-        (in RAM, streamed row blocks), ``"memmap"`` (out-of-core spill
-        files) or ``"neighbors"`` (sparse epsilon-bounded k-NN graphs, no
-        full matrix at all); ``None`` consults ``REPRO_DISTANCE_BACKEND``.
-        The exact tiers build bit-identical hierarchies; the ``neighbors``
-        tier is approximate-by-contract (see
-        :mod:`repro.core.neighbor_graph`), and its fitted
-        ``mutual_reachability_`` is a :class:`scipy.sparse.csr_matrix`
-        instead of a dense array.
+        Storage tier for the pairwise-distance matrix — ``"dense"``
+        (default) or its alias ``"blockwise"`` (in RAM), ``"memmap"``
+        (out-of-core spill files) or ``"neighbors"`` (sparse
+        epsilon-bounded k-NN graphs, no full matrix at all); ``None``
+        consults ``REPRO_DISTANCE_BACKEND``.  The exact tiers build
+        bit-identical hierarchies; the ``neighbors`` tier is
+        approximate-by-contract (see :mod:`repro.core.neighbor_graph`).
     epsilon / k_neighbors:
         Neighbour-graph radius and out-degree for the ``"neighbors"`` tier
         (``None`` consults ``REPRO_NEIGHBOR_EPSILON``/``REPRO_NEIGHBOR_K``);
@@ -284,36 +237,23 @@ class DensityHierarchy:
                 X, metric=self.metric, epsilon=self.epsilon, k_neighbors=self.k_neighbors
             )
             self.core_distances_ = graph.core_distances(self.min_pts)
-            self.mutual_reachability_ = mutual_reachability_graph(
-                graph.graph, self.core_distances_
+            self.mst_edges_ = sparse_mst_edges(
+                mutual_reachability_graph(graph.graph, self.core_distances_),
+                self.core_distances_,
             )
-            self.mst_edges_ = sparse_mst_edges(self.mutual_reachability_)
         else:
-            block = backend.block_rows(n_samples)
             # Memoised: every (value × fold) grid cell of a CVCP sweep shares
             # the same O(n²) matrix, so only the first cell per process
             # computes it.
             distances = cached_pairwise_distances(
                 X, metric=self.metric, distance_backend=backend.name
             )
-            self.core_distances_ = k_nearest_distances(
-                distances, self.min_pts, block_rows=block
-            )
-            if block is None:
-                # Dense tier: the historical whole-matrix transform.
-                self.mutual_reachability_ = mutual_reachability(distances, self.core_distances_)
-            else:
-                # Streaming tiers: fill backend-provided storage block-at-a-time
-                # (an ephemeral spill for memmap), then drop the raw matrix's
-                # page residency — it is not read again during this fit.
-                self.mutual_reachability_ = mutual_reachability(
-                    distances, self.core_distances_,
-                    out=backend.derived_matrix(n_samples, "mreach"),
-                    block_rows=block,
-                )
-                backend.release(distances)
-            self.mst_edges_ = minimum_spanning_tree(self.mutual_reachability_)
-            backend.release(self.mutual_reachability_)
+            self.core_distances_ = k_nearest_distances(distances, self.min_pts)
+            # Prim computes mutual reachability row by row, so no derived
+            # (n, n) matrix exists.  The fit does not read the raw matrix
+            # again: drop its page residency (memmap).
+            self.mst_edges_ = minimum_spanning_tree(distances, self.core_distances_)
+            backend.release(distances)
         self.single_linkage_tree_ = build_single_linkage_tree(self.mst_edges_, n_samples)
         self.condensed_tree_ = CondensedTreeArrays(
             _kernels.condense_tree(self.single_linkage_tree_, n_samples, self.min_cluster_size)
@@ -324,9 +264,9 @@ class DensityHierarchy:
 # ---------------------------------------------------------------------------
 # The cached structure phase: everything in a FOSC fit that does not depend
 # on the constraint set.  A structure is O(n) (MST edges, merge records,
-# core distances, condensed tree) — deliberately *not* the O(n²)
-# mutual-reachability matrix — so a per-process memo plus JSON artifacts in
-# the store make constraint deltas re-extract instead of refit.
+# core distances, condensed tree) — never an O(n²) matrix — so a
+# per-process memo plus JSON artifacts in the store make constraint deltas
+# re-extract instead of refit.
 
 
 @dataclass
@@ -396,9 +336,8 @@ def build_tree_structure(
         epsilon=epsilon,
         k_neighbors=k_neighbors,
     ).fit(X)
-    # Only the O(n) outputs are retained; the hierarchy facade (and its
-    # O(n²) mutual-reachability matrix) is dropped here so memoised
-    # structures never hold whole matrices alive.
+    # Only the O(n) outputs are retained; the hierarchy facade is dropped
+    # here so memoised structures never hold whole matrices alive.
     return TreeStructure(
         n_samples=int(np.asarray(hierarchy.core_distances_).shape[0]),
         min_pts=int(hierarchy.min_pts),

@@ -9,8 +9,9 @@ union–find, flat parent/lambda arrays, and CSR-style neighbour indexing:
 1. :func:`optics_ordering` — the OPTICS core-distance + reachability
    update sweep (used by :class:`~repro.clustering.optics.OPTICS`);
 2. :func:`minimum_spanning_tree` / :func:`single_linkage_tree` — dense
-   Prim MST over the mutual-reachability matrix and its conversion into
-   scipy-style merge records (used by
+   Prim MST over the mutual reachability distance (each row computed by
+   :func:`mutual_reachability` when Prim needs it) and its conversion
+   into scipy-style merge records (used by
    :class:`~repro.clustering.hierarchy.DensityHierarchy`);
 3. :func:`condense_tree` + :func:`fosc_extract` — the FOSC condensed-tree
    construction, stability computation and optimal-selection dynamic
@@ -48,8 +49,8 @@ Distance-matrix storage
 Every kernel that consumes an ``(n, n)`` distance matrix reads it **one row
 (or one row block) at a time** and never materialises a full-matrix
 temporary: the OPTICS sweep and the Prim MST index single rows per
-iteration, and the upstream passes (core distances, mutual reachability)
-stream in row blocks under the non-dense distance backends.  The matrices
+iteration (Prim derives each mutual-reachability row as it goes), and the
+upstream core-distance pass streams in row blocks.  The matrices
 handed in may therefore be plain in-RAM arrays *or* read-only
 ``np.memmap`` views from the ``memmap`` distance backend (see
 :mod:`repro.core.distance_backend`) — NumPy indexing faults the needed
@@ -137,14 +138,50 @@ def optics_ordering(
 # Kernel 2: dense Prim MST + single-linkage merge records
 # ======================================================================
 
-def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
-    """Dense Prim minimum spanning tree over a single masked frontier array.
+def mutual_reachability(
+    distances: np.ndarray,
+    core_distances: np.ndarray,
+    column_core_distances: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mutual reachability distance ``max(d(a, b), core(a), core(b))``.
 
     Parameters
     ----------
     distances:
-        ``(n, n)`` symmetric distance matrix (typically the mutual
-        reachability matrix).
+        ``(n, n)`` raw distance matrix, or an ``(m, n)`` row block of it
+        (in-RAM or memmap).
+    core_distances:
+        Core distance of each row of ``distances``.
+    column_core_distances:
+        Core distance of each column.  ``None`` means ``distances`` is the
+        square matrix over one point set: the columns take
+        ``core_distances`` and the diagonal is zeroed.
+
+    Both forms apply the same two maximums in the same order, so a row
+    computed from a block is bit-identical to that row of the square
+    matrix.  :func:`minimum_spanning_tree` computes one row per step this
+    way; nothing in a fit builds the square form.
+    """
+    core_distances = np.asarray(core_distances, dtype=np.float64)
+    mreach = np.maximum(np.asarray(distances, dtype=np.float64), core_distances[:, None])
+    if column_core_distances is not None:
+        np.maximum(mreach, column_core_distances, out=mreach)
+        return mreach
+    np.maximum(mreach, core_distances, out=mreach)
+    np.fill_diagonal(mreach, 0.0)
+    return mreach
+
+
+def minimum_spanning_tree(distances: np.ndarray, core_distances: np.ndarray) -> np.ndarray:
+    """Dense Prim minimum spanning tree over the mutual reachability distance.
+
+    Parameters
+    ----------
+    distances:
+        ``(n, n)`` symmetric distance matrix (in-RAM or a read-only
+        ``np.memmap``); it is only read, one row per step.
+    core_distances:
+        ``(n,)`` core distance per object.
 
     Returns
     -------
@@ -152,34 +189,45 @@ def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
         ``(n-1, 3)`` array of edges ``(u, v, weight)`` sorted by weight
         (stable, so tied weights keep discovery order).
 
-    In-tree entries are kept at ``+inf`` *inside* the frontier array, so
-    each step is one ``argmin`` plus one masked comparison.
+    Each frontier row is the :func:`mutual_reachability` row of the point
+    just added, computed when it is needed; no ``(n, n)`` temporary ever
+    exists.  ``max`` is exact, so the tree is bit-identical to Prim over
+    the materialised matrix.
     """
     distances = np.asarray(distances, dtype=np.float64)
+    core = np.asarray(core_distances, dtype=np.float64)
     n_samples = distances.shape[0]
     if n_samples < 2:
         return np.empty((0, 3), dtype=np.float64)
 
-    # ``frontier[j]`` is the best known edge weight from the tree to j,
-    # with in-tree entries pinned at +inf so argmin skips them.
-    frontier = distances[0].astype(np.float64, copy=True)
-    frontier[0] = np.inf
+    # ``frontier[j]`` is the best known edge weight from the tree to j.
+    # In-tree points are pinned at +inf in ``frontier`` (so argmin skips
+    # them) and in the column cores ``pending_core`` (so their row entries
+    # come out +inf and can never improve): each step is one argmin plus
+    # one comparison.
+    pending_core = core.copy()
+    pending_core[0] = np.inf
+    frontier = mutual_reachability(distances[:1], core[:1], pending_core)[0]
     source = np.zeros(n_samples, dtype=np.int64)
-    active = np.ones(n_samples, dtype=bool)
-    active[0] = False
-
-    edges = np.empty((n_samples - 1, 3), dtype=np.float64)
-    for edge_index in range(n_samples - 1):
+    improved = np.empty(n_samples, dtype=bool)
+    visit = np.empty(n_samples - 1, dtype=np.int64)
+    weight = np.empty(n_samples - 1, dtype=np.float64)
+    for step in range(n_samples - 1):
         candidate = int(np.argmin(frontier))
-        edges[edge_index] = (source[candidate], candidate, frontier[candidate])
-        active[candidate] = False
+        visit[step] = candidate
+        weight[step] = frontier[candidate]
         frontier[candidate] = np.inf
-        row = distances[candidate]
-        improved = (row < frontier) & active
-        frontier[improved] = row[improved]
-        source[improved] = candidate
-    order = np.argsort(edges[:, 2], kind="stable")
-    return edges[order]
+        pending_core[candidate] = np.inf
+        row = mutual_reachability(
+            distances[candidate : candidate + 1], core[candidate : candidate + 1], pending_core
+        )[0]
+        np.less(row, frontier, out=improved)
+        np.copyto(frontier, row, where=improved)
+        np.copyto(source, candidate, where=improved)
+    # An in-tree point's source never changes again, so it is read at the end.
+    order = np.argsort(weight, kind="stable")
+    visit = visit[order]
+    return np.column_stack([source[visit], visit, weight[order]])
 
 
 def _check_edge_count(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:

@@ -133,11 +133,7 @@ class OPTICS(BaseClusterer):
         distances = cached_pairwise_distances(
             X, metric=self.metric, distance_backend=backend.name
         )
-        # Streaming tiers compute core distances block-at-a-time, avoiding
-        # the full-matrix copy np.partition makes; results are bit-identical.
-        self.core_distances_ = k_nearest_distances(
-            distances, min_pts, block_rows=backend.block_rows(X.shape[0])
-        )
+        self.core_distances_ = k_nearest_distances(distances, min_pts)
         # The sweep is one of the four hot kernels (see
         # repro.clustering.kernels).  It reads the matrix one row at a
         # time, so memmap-backed storage streams too.

@@ -1,4 +1,4 @@
-"""Tiered distance backends: ``dense``, ``blockwise``, ``memmap`` and ``neighbors``.
+"""Tiered distance backends: ``dense``/``blockwise``, ``memmap`` and ``neighbors``.
 
 The CVCP protocol re-clusters every (parameter value × fold) cell, and every
 density-based layer of this library — OPTICS, the single-linkage/Prim
@@ -7,17 +7,17 @@ from the full ``(n, n)`` pairwise-distance matrix.  Materialising that matrix
 densely caps the reproduction at a few thousand points; this module makes the
 matrix *provider* pluggable instead:
 
-``dense``
-    Today's behaviour: the matrix (and every derived matrix) lives in RAM
-    and derived computations run whole-matrix.  Fastest at paper scale.
-``blockwise``
-    The matrix still lives in RAM, but it is filled panel-at-a-time and the
-    derived computations (core distances, mutual reachability) stream in
-    row blocks with a bounded working set — no full-matrix temporaries.
+``dense`` / ``blockwise``
+    Two names for one tier: the matrix lives in RAM, filled panel-at-a-time.
+    Core distances stream in row blocks and Prim derives each
+    mutual-reachability row as it goes, so the working set is the ``8·n²``
+    matrix plus one row block — no derived ``(n, n)`` matrix and no
+    full-matrix temporaries.  Both names stay accepted so configs, specs
+    and reports keep the name the user wrote.
 ``memmap``
-    Out-of-core: matrices live in spill files under
-    :func:`spill_directory` and are consumed through read-only
-    ``np.memmap`` views whose pages the OS can evict under memory
+    Out-of-core: the matrix lives in a spill file under
+    :func:`spill_directory` and is consumed through a read-only
+    ``np.memmap`` view whose pages the OS can evict under memory
     pressure.  Spill files are written atomically (temp file + rename),
     cleaned up on exceptions, and keyed by the data fingerprint — so
     process-backend executor workers **map the same file** instead of
@@ -36,10 +36,11 @@ The three *exact* tiers (:data:`EXACT_DISTANCE_BACKENDS`) produce
 the same input, because the canonical computation is the fixed row-panel
 scheme of :mod:`repro.clustering.distances`: every exact tier performs the
 same per-panel NumPy/BLAS calls and differs only in where the result is
-stored and how the derived passes are scheduled.  Parity is enforced
-across backends *and* across the serial/thread/process executors by
-``tests/test_distance_backend.py`` and asserted before timing by
-``repro bench scale``.
+stored; every consumer reads it through the same row-block passes.  Parity
+is enforced across backends *and* across the serial/thread/process
+executors by ``tests/test_distance_backend.py`` (which also pins the
+committed ``BENCH_scale.json`` label digests) and asserted before timing
+by ``repro bench scale``.
 
 The ``neighbors`` tier sits outside this contract: points only see their
 ``k_neighbors`` nearest neighbours within ``epsilon``.  Its own contract —
@@ -163,9 +164,9 @@ def _advise_dontneed(matrix: np.ndarray) -> None:
 
 
 class DistanceBackend:
-    """One storage/streaming tier for pairwise-distance matrices.
+    """One storage tier for pairwise-distance matrices.
 
-    Subclasses override the four hooks; consumers only ever talk to this
+    Subclasses override the hooks; consumers only ever talk to this
     interface (usually through
     :func:`repro.utils.cache.cached_pairwise_distances`, which adds the
     per-process memo on top).
@@ -174,16 +175,8 @@ class DistanceBackend:
     #: Backend name (one of :data:`DISTANCE_BACKENDS`).
     name: str = ""
 
-    def block_rows(self, n_samples: int) -> int | None:
-        """Row-block size for derived streaming passes (``None`` = whole-matrix)."""
-        raise NotImplementedError
-
     def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         """The canonical ``(n, n)`` distance matrix of ``X`` in this tier's storage."""
-        raise NotImplementedError
-
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        """Writable ``(n, n)`` storage for a derived matrix (e.g. mutual reachability)."""
         raise NotImplementedError
 
     def release(self, matrix: np.ndarray) -> None:
@@ -193,37 +186,21 @@ class DistanceBackend:
         return f"{type(self).__name__}()"
 
 
-class DenseBackend(DistanceBackend):
-    """In-RAM matrices with whole-matrix derived computations (the default)."""
+class InMemoryBackend(DistanceBackend):
+    """In-RAM matrices: the one class behind both ``dense`` and ``blockwise``.
 
-    name = "dense"
+    Each name gets its own instance, whose ``name`` is the one the user
+    wrote; the distance memo keys on it, so each tier sees its own
+    hit/miss pattern.
+    """
 
-    def block_rows(self, n_samples: int) -> int | None:
-        return None
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         from repro.clustering.distances import pairwise_distances
 
         return pairwise_distances(X, metric=metric)
-
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        return np.empty((n_samples, n_samples), dtype=np.float64)
-
-
-class BlockwiseBackend(DenseBackend):
-    """In-RAM matrices, but every pass streams row blocks with a bounded working set.
-
-    Storage is identical to :class:`DenseBackend`; only the derived-pass
-    scheduling differs (finite :meth:`block_rows`), so the in-RAM hooks are
-    inherited rather than duplicated.
-    """
-
-    name = "blockwise"
-
-    def block_rows(self, n_samples: int) -> int | None:
-        from repro.clustering.distances import DEFAULT_BLOCK_ROWS
-
-        return DEFAULT_BLOCK_ROWS
 
 
 class MemmapBackend(DistanceBackend):
@@ -234,11 +211,6 @@ class MemmapBackend(DistanceBackend):
     #: Flush-and-drop the dirty pages of a spill being written every this
     #: many panels, bounding the write-phase resident set.
     flush_panels = 16
-
-    def block_rows(self, n_samples: int) -> int | None:
-        from repro.clustering.distances import DEFAULT_BLOCK_ROWS
-
-        return DEFAULT_BLOCK_ROWS
 
     # -- spill protocol -------------------------------------------------
     def spill_path(self, X: np.ndarray, metric: str) -> Path:
@@ -296,24 +268,7 @@ class MemmapBackend(DistanceBackend):
             self._fill_spill(path, X, metric)
         return np.memmap(path, dtype=np.float64, mode="r", shape=(n, n))
 
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        """Ephemeral writable spill: unlinked immediately, reclaimed on close/crash."""
-        handle, raw_path = tempfile.mkstemp(
-            prefix=f"{tag}-", suffix=f"{SPILL_SUFFIX}.tmp-{os.getpid()}",
-            dir=spill_directory(),
-        )
-        os.close(handle)
-        matrix = np.memmap(raw_path, dtype=np.float64, mode="w+", shape=(n_samples, n_samples))
-        # The mapping keeps the data alive; dropping the directory entry now
-        # means the file can never leak, even if the process dies mid-fit.
-        Path(raw_path).unlink(missing_ok=True)
-        return matrix
-
     def release(self, matrix: np.ndarray) -> None:
-        if getattr(matrix, "flags", None) is not None and matrix.flags.writeable:
-            flush = getattr(matrix, "flush", None)
-            if flush is not None:
-                flush()
         _advise_dontneed(matrix)
 
 
@@ -330,27 +285,18 @@ class NeighborsBackend(DistanceBackend):
 
     name = "neighbors"
 
-    def block_rows(self, n_samples: int) -> int | None:
-        return None
-
-    def _full_matrix_error(self, consumer: str) -> ValueError:
-        return ValueError(
-            f"distance_backend='neighbors' builds a sparse neighbour graph and "
-            f"cannot materialise the full (n, n) {consumer}; use an exact "
-            f"distance backend ({', '.join(EXACT_DISTANCE_BACKENDS)}) for "
-            f"consumers that need every pairwise entry"
-        )
-
     def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-        raise self._full_matrix_error("pairwise-distance matrix")
-
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        raise self._full_matrix_error(f"derived matrix ({tag})")
+        raise ValueError(
+            "distance_backend='neighbors' builds a sparse neighbour graph and "
+            "cannot materialise the full (n, n) pairwise-distance matrix; use "
+            f"an exact distance backend ({', '.join(EXACT_DISTANCE_BACKENDS)}) "
+            "for consumers that need every pairwise entry"
+        )
 
 
 _BACKENDS: dict[str, DistanceBackend] = {
-    "dense": DenseBackend(),
-    "blockwise": BlockwiseBackend(),
+    "dense": InMemoryBackend("dense"),
+    "blockwise": InMemoryBackend("blockwise"),
     "memmap": MemmapBackend(),
     "neighbors": NeighborsBackend(),
 }

@@ -339,7 +339,7 @@ def mutual_reachability_graph(graph: csr_matrix, core_distances: np.ndarray) -> 
 
     Per stored edge ``(i, j)``: ``max(max(d_ij, core_i), core_j)`` — the
     same operation order as the dense
-    :func:`repro.clustering.hierarchy.mutual_reachability` (``max`` is
+    :func:`repro.clustering.kernels.mutual_reachability` (``max`` is
     exact, so the densified exhaustive graph matches entry-for-entry).
     Unstored pairs have *unknown* (not zero) mutual reachability; only the
     diagonal densifies to the dense transform's explicit 0.
@@ -356,8 +356,8 @@ def mutual_reachability_graph(graph: csr_matrix, core_distances: np.ndarray) -> 
 _ZERO_WEIGHT = np.nextafter(0.0, 1.0)
 
 
-def sparse_mst_edges(graph: csr_matrix) -> np.ndarray:
-    """Minimum spanning tree of a sparse weighted graph as sorted edges.
+def sparse_mst_edges(graph: csr_matrix, core_distances: np.ndarray) -> np.ndarray:
+    """Minimum spanning tree of a sparse mutual-reachability graph as sorted edges.
 
     Returns the same ``(n-1, 3)`` ``(u, v, weight)`` weight-sorted edge
     array as the dense Prim kernel.  Stored zero-weight edges (duplicate
@@ -375,7 +375,10 @@ def sparse_mst_edges(graph: csr_matrix) -> np.ndarray:
     and FOSC's condensed tree is sensitive to that order (a tie can
     decide whether a small component reaches ``min_cluster_size``
     before it is absorbed); delegating makes the exhaustive-regime
-    labels bit-identical to the dense tiers by construction.
+    labels bit-identical to the dense tiers by construction.  The Prim
+    kernel re-applies ``core_distances`` to every row; the stored weights
+    already are mutual reachability and ``max`` is idempotent, so this
+    changes no bit.
     """
     n = graph.shape[0]
     if n <= 1:
@@ -385,8 +388,8 @@ def sparse_mst_edges(graph: csr_matrix) -> np.ndarray:
 
         # toarray() reproduces the dense mutual-reachability matrix
         # entry-for-entry: every off-diagonal entry is stored (explicit
-        # zeros included) and the absent diagonal densifies to 0.0.
-        return minimum_spanning_tree(graph.toarray())
+        # zeros included); Prim never reads the diagonal.
+        return minimum_spanning_tree(graph.toarray(), core_distances)
     adjusted = graph.copy()
     adjusted.data = np.where(adjusted.data == 0.0, _ZERO_WEIGHT, adjusted.data)
     forest = _csgraph_mst(adjusted).tocoo()

@@ -413,8 +413,8 @@ def run_trial(
             overall_f_measure(dataset.y, model.labels_, exclude=exclude)
         )
         # The Silhouette baseline needs the full matrix; under the sparse
-        # neighbors tier it falls back to the blockwise exact tier (same
-        # values bit-for-bit, streamed row blocks).
+        # neighbors tier it falls back to the in-RAM exact tier (same
+        # values bit-for-bit).
         silhouette_backend = config.distance_backend
         if resolve_distance_backend(silhouette_backend) == "neighbors":
             silhouette_backend = "blockwise"

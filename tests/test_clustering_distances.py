@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.distances import (
+    DEFAULT_BLOCK_ROWS,
     diagonal_mahalanobis_distances,
     euclidean_distances,
     k_nearest_distances,
@@ -162,11 +163,11 @@ class TestPanelledComputation:
             pairwise_distances(np.zeros((4, 2)), out=np.empty((3, 3)))
 
     def test_blocked_k_nearest_is_bitwise_identical(self):
-        X = np.random.default_rng(9).normal(size=(217, 5))
+        # More rows than one partition block, so the last block is partial.
+        X = np.random.default_rng(9).normal(size=(DEFAULT_BLOCK_ROWS + 77, 5))
         distances = pairwise_distances(X)
-        whole = k_nearest_distances(distances, 6)
-        assert np.array_equal(whole, k_nearest_distances(distances, 6, block_rows=50))
-        assert np.array_equal(whole, k_nearest_distances(distances, 6, block_rows=217))
+        whole = np.partition(distances, 5, axis=1)[:, 5]
+        assert np.array_equal(whole, k_nearest_distances(distances, 6))
 
 
 class TestInputAcceptance:

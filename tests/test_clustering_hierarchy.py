@@ -20,6 +20,11 @@ def small_distances():
     return X, pairwise_distances(X)
 
 
+def raw_mst(distances):
+    """Prim over the raw distances: zero core distances leave every entry as is."""
+    return minimum_spanning_tree(distances, np.zeros(distances.shape[0]))
+
+
 class TestMutualReachability:
     def test_lower_bounded_by_core_distances(self, small_distances):
         _, distances = small_distances
@@ -38,11 +43,21 @@ class TestMutualReachability:
         assert np.allclose(mreach, mreach.T)
         assert np.allclose(np.diag(mreach), 0.0)
 
+    def test_row_block_matches_the_square_matrix_off_the_diagonal(self, small_distances):
+        _, distances = small_distances
+        core = k_nearest_distances(distances, 2)
+        square = mutual_reachability(distances, core)
+        off_diagonal = ~np.eye(len(core), dtype=bool)
+        for start, stop in ((0, 1), (2, 5), (0, len(core))):
+            block = mutual_reachability(distances[start:stop], core[start:stop], core)
+            mask = off_diagonal[start:stop]
+            assert block[mask].tobytes() == square[start:stop][mask].tobytes()
+
 
 class TestMinimumSpanningTree:
     def test_edge_count_and_sorted_weights(self, small_distances):
         _, distances = small_distances
-        edges = minimum_spanning_tree(distances)
+        edges = raw_mst(distances)
         assert edges.shape == (5, 3)
         assert (np.diff(edges[:, 2]) >= 0).all()
 
@@ -50,7 +65,7 @@ class TestMinimumSpanningTree:
         from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
         _, distances = small_distances
-        ours = minimum_spanning_tree(distances)[:, 2].sum()
+        ours = raw_mst(distances)[:, 2].sum()
         reference = scipy_mst(distances).sum()
         assert ours == pytest.approx(float(reference))
 
@@ -58,20 +73,20 @@ class TestMinimumSpanningTree:
         from repro.utils.disjoint_set import DisjointSet
 
         _, distances = small_distances
-        edges = minimum_spanning_tree(distances)
+        edges = raw_mst(distances)
         ds = DisjointSet(range(distances.shape[0]))
         for u, v, _ in edges:
             ds.union(int(u), int(v))
         assert ds.n_components == 1
 
     def test_tiny_inputs(self):
-        assert minimum_spanning_tree(np.zeros((1, 1))).shape == (0, 3)
+        assert raw_mst(np.zeros((1, 1))).shape == (0, 3)
 
 
 class TestSingleLinkageTree:
     def test_merge_records_structure(self, small_distances):
         _, distances = small_distances
-        edges = minimum_spanning_tree(distances)
+        edges = raw_mst(distances)
         merges = build_single_linkage_tree(edges, 6)
         assert merges.shape == (5, 4)
         # The last merge contains all points.
@@ -88,8 +103,7 @@ class TestCondensedTree:
     def _tree(self, X, min_pts=2, min_cluster_size=3):
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, min_pts)
-        mreach = mutual_reachability(distances, core)
-        edges = minimum_spanning_tree(mreach)
+        edges = minimum_spanning_tree(distances, core)
         merges = build_single_linkage_tree(edges, X.shape[0])
         return CondensedTreeArrays(condense_tree(merges, X.shape[0], min_cluster_size))
 
@@ -156,7 +170,8 @@ class TestDensityHierarchy:
         hierarchy = DensityHierarchy(min_pts=5).fit(blobs_dataset.X)
         n = blobs_dataset.n_samples
         assert hierarchy.core_distances_.shape == (n,)
-        assert hierarchy.mutual_reachability_.shape == (n, n)
+        # Prim derives mutual reachability as it goes: no (n, n) matrix is kept.
+        assert not hasattr(hierarchy, "mutual_reachability_")
         assert hierarchy.mst_edges_.shape == (n - 1, 3)
         assert hierarchy.single_linkage_tree_.shape == (n - 1, 4)
         assert hierarchy.condensed_tree_.n_samples == n

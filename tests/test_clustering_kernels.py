@@ -40,6 +40,7 @@ from repro.constraints import ConstraintSet, cannot_link, must_link
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK
 from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
+from repro.core.neighbor_graph import build_neighbor_graph, mutual_reachability_graph
 from repro.utils.cache import clear_distance_cache
 
 settings.register_profile("repro-kernels", max_examples=20, deadline=None)
@@ -187,21 +188,38 @@ class TestOpticsParity:
 # ----------------------------------------------------------------------
 
 class TestSingleLinkageParity:
-    @given(adversarial_datasets(), st.integers(1, 4))
-    def test_mst_and_merge_records_bit_identical(self, X, min_pts):
+    @settings(max_examples=60)
+    @given(data_strategy=st.data(), min_pts=st.integers(1, 5), as_memmap=st.booleans())
+    def test_mst_and_merge_records_bit_identical(
+        self, tmp_path_factory, data_strategy, min_pts, as_memmap
+    ):
+        """Prim from (D, core) is byte-equal to the oracle Prim over the mreach matrix."""
+        kind = data_strategy.draw(st.sampled_from(["random", "duplicates", "ties"]))
+        if kind == "random":
+            n_samples = data_strategy.draw(st.integers(1, 60))
+            seed = data_strategy.draw(st.integers(0, 2**32 - 1))
+            X = np.random.default_rng(seed).normal(size=(n_samples, 2))
+        else:
+            X = data_strategy.draw(adversarial_datasets(min_samples=1, max_samples=60))
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
-        mreach = mutual_reachability(distances, core)
-        ref_edges = R.minimum_spanning_tree(mreach)
-        vec_edges = K.minimum_spanning_tree(mreach)
-        assert np.array_equal(ref_edges, vec_edges)
+        ref_edges = R.minimum_spanning_tree(mutual_reachability(distances, core))
+        if as_memmap:
+            path = tmp_path_factory.mktemp("fused-prim") / "distances.dmm"
+            writer = np.memmap(path, dtype=np.float64, mode="w+", shape=distances.shape)
+            writer[:] = distances
+            writer.flush()
+            distances = np.memmap(path, dtype=np.float64, mode="r", shape=distances.shape)
+        vec_edges = K.minimum_spanning_tree(distances, core)
+        assert vec_edges.dtype == ref_edges.dtype and vec_edges.shape == ref_edges.shape
+        assert vec_edges.tobytes() == ref_edges.tobytes()
         ref_tree = R.single_linkage_tree(ref_edges, X.shape[0])
         vec_tree = K.single_linkage_tree(ref_edges, X.shape[0])
         assert np.array_equal(ref_tree, vec_tree)
 
     def test_tiny_inputs(self):
-        for implementation in (K, R):
-            assert implementation.minimum_spanning_tree(np.zeros((1, 1))).shape == (0, 3)
+        assert K.minimum_spanning_tree(np.zeros((1, 1)), np.zeros(1)).shape == (0, 3)
+        assert R.minimum_spanning_tree(np.zeros((1, 1))).shape == (0, 3)
 
     def test_wrong_edge_count_rejected_by_both(self):
         for implementation in (K, R):
@@ -216,8 +234,7 @@ class TestSingleLinkageParity:
 def _merge_records(X, min_pts):
     distances = pairwise_distances(X)
     core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
-    mreach = mutual_reachability(distances, core)
-    edges = K.minimum_spanning_tree(mreach)
+    edges = K.minimum_spanning_tree(distances, core)
     return K.single_linkage_tree(edges, X.shape[0])
 
 
@@ -303,7 +320,11 @@ class TestCondensedTreeParity:
     def test_array_tree_compat_api_matches_reference(self, blobs_dataset, monkeypatch):
         n_samples = blobs_dataset.n_samples
         vec = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        monkeypatch.setattr(hierarchy_module, "minimum_spanning_tree", R.minimum_spanning_tree)
+        monkeypatch.setattr(
+            hierarchy_module,
+            "minimum_spanning_tree",
+            lambda distances, core: R.minimum_spanning_tree(mutual_reachability(distances, core)),
+        )
         monkeypatch.setattr(hierarchy_module, "build_single_linkage_tree", R.single_linkage_tree)
         ref = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
         assert np.array_equal(ref.mst_edges_, vec.mst_edges_)
@@ -468,8 +489,11 @@ class TestScipyLinkageOracle:
         for tier in tiers:
             clear_distance_cache()
             fitted = DensityHierarchy(min_pts, **tier).fit(X)
-            mreach = fitted.mutual_reachability_
-            mreach = mreach.toarray() if hasattr(mreach, "toarray") else np.array(mreach)
+            if tier["distance_backend"] == "neighbors":
+                graph = build_neighbor_graph(X, epsilon=np.inf, k_neighbors=n_samples)
+                mreach = mutual_reachability_graph(graph.graph, fitted.core_distances_).toarray()
+            else:
+                mreach = mutual_reachability(pairwise_distances(X), fitted.core_distances_)
             np.fill_diagonal(mreach, 0.0)
             heights = linkage(squareform(mreach, checks=False), method="single")[:, 2]
             expected = np.sort(heights)

@@ -1,18 +1,22 @@
 """Tests for the tiered distance backends (dense / blockwise / memmap / neighbors).
 
-Covers the bit-identity contract across the exact tiers and executors, the memmap
-spill lifecycle (atomic writes, exception cleanup, reuse, kill-resume,
-process-backend sharing), and the cache-stats parity across backends.
+Covers the bit-identity contract across the exact tiers and executors (and
+against the label digests committed in ``BENCH_scale.json``), the structure
+phase's memory bound, the memmap spill lifecycle (atomic writes, exception
+cleanup, reuse, kill-resume, process-backend sharing), and the cache-stats
+parity across backends.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ import pytest
 
 from repro.clustering.distances import DEFAULT_BLOCK_ROWS, pairwise_distances
 from repro.clustering.fosc import FOSCOpticsDend
-from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
+from repro.clustering.hierarchy import DensityHierarchy
 from repro.clustering.optics import OPTICS
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
@@ -30,8 +34,7 @@ from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     SPILL_DIR_ENV_VAR,
-    BlockwiseBackend,
-    DenseBackend,
+    InMemoryBackend,
     MemmapBackend,
     clear_spill_directory,
     get_distance_backend,
@@ -90,14 +93,11 @@ class TestResolution:
 
     def test_get_backend_returns_shared_instances(self):
         assert get_distance_backend("dense") is get_distance_backend("dense")
-        assert isinstance(get_distance_backend("dense"), DenseBackend)
-        assert isinstance(get_distance_backend("blockwise"), BlockwiseBackend)
+        # One in-RAM class behind two names; each keeps the name it was asked by.
+        for name in ("dense", "blockwise"):
+            assert type(get_distance_backend(name)) is InMemoryBackend
+            assert get_distance_backend(name).name == name
         assert isinstance(get_distance_backend("memmap"), MemmapBackend)
-
-    def test_block_rows_policy(self):
-        assert get_distance_backend("dense").block_rows(10_000) is None
-        assert get_distance_backend("blockwise").block_rows(10_000) == DEFAULT_BLOCK_ROWS
-        assert get_distance_backend("memmap").block_rows(10_000) == DEFAULT_BLOCK_ROWS
 
 
 class TestMatrixBitIdentity:
@@ -119,17 +119,6 @@ class TestMatrixBitIdentity:
         np.fill_diagonal(squared, 0.0)
         legacy = np.sqrt(squared, out=squared)
         assert np.array_equal(pairwise_distances(X), legacy)
-
-    def test_mutual_reachability_streams_bitwise_identically(self, big_blobs):
-        distances = pairwise_distances(big_blobs.X)
-        core = distances[:, 5].copy()
-        whole = mutual_reachability(distances, core)
-        streamed = mutual_reachability(distances, core, block_rows=97)
-        into = mutual_reachability(
-            distances, core, out=np.empty_like(whole), block_rows=DEFAULT_BLOCK_ROWS
-        )
-        assert np.array_equal(whole, streamed)
-        assert np.array_equal(whole, into)
 
 
 class TestClusteringParity:
@@ -154,7 +143,6 @@ class TestClusteringParity:
             fitted = DensityHierarchy(5, distance_backend=name).fit(big_blobs.X)
             observed = (
                 fitted.core_distances_,
-                np.asarray(fitted.mutual_reachability_),
                 fitted.mst_edges_,
                 fitted.single_linkage_tree_,
             )
@@ -163,6 +151,33 @@ class TestClusteringParity:
             else:
                 for left, right in zip(reference, observed):
                     assert np.array_equal(left, right)
+
+    @pytest.mark.parametrize("name", EXACT_DISTANCE_BACKENDS)
+    def test_labels_match_the_committed_scale_digests(self, spill_dir, name):
+        """Every exact tier reproduces the bytes committed in BENCH_scale.json."""
+        from repro.cli.bench_scale import _MIN_PTS, labels_digest, scale_dataset
+
+        record = json.loads((Path(__file__).resolve().parents[1] / "BENCH_scale.json").read_text())
+        expected = record["bench_scale"]["labels_digest"][name]["n1200"]
+        fitted = FOSCOpticsDend(min_pts=_MIN_PTS, distance_backend=name).fit(
+            scale_dataset(1200).X
+        )
+        assert labels_digest(fitted.labels_) == expected
+
+    @pytest.mark.parametrize("name", EXACT_DISTANCE_BACKENDS)
+    def test_structure_phase_allocates_no_derived_matrix(self, spill_dir, name):
+        """With D memoised, a fit allocates well under one extra 8·n² matrix."""
+        n = 3 * DEFAULT_BLOCK_ROWS
+        X = np.random.default_rng(3).normal(size=(n, 3))
+        cached_pairwise_distances(X, distance_backend=name)
+        tracemalloc.start()
+        try:
+            DensityHierarchy(5, distance_backend=name).fit(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The largest temporary is one (DEFAULT_BLOCK_ROWS, n) core-distance block.
+        assert peak < 0.5 * 8 * n * n
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_cvcp_grid_identical_across_executors_and_tiers(
@@ -264,15 +279,13 @@ class TestMemmapSpillLifecycle:
         assert calls["count"] == 1
         assert list(spill_dir.iterdir()) == []  # no finished file, no stale temp
 
-    def test_derived_matrix_is_ephemeral_and_usable(self, spill_dir):
-        backend = get_distance_backend("memmap")
-        derived = backend.derived_matrix(64, "mreach")
-        assert derived.shape == (64, 64)
-        derived[:] = 7.0
-        backend.release(derived)
-        assert float(derived[13, 21]) == 7.0  # released pages fault back in
-        # Unlinked immediately: the spill directory holds no entry for it.
-        assert list(spill_dir.iterdir()) == []
+    def test_fit_spills_only_the_distance_matrix(self, spill_dir, big_blobs):
+        fitted = DensityHierarchy(5, distance_backend="memmap").fit(big_blobs.X)
+        assert [p.suffix for p in spill_dir.iterdir()] == [".dmm"]
+        # The fit released the matrix's pages; they fault back in on a read.
+        matrix = cached_pairwise_distances(big_blobs.X, distance_backend="memmap")
+        assert np.array_equal(np.asarray(matrix), pairwise_distances(big_blobs.X))
+        assert fitted.mst_edges_.shape == (MULTI_PANEL_N - 1, 3)
 
     def test_clear_spill_directory_removes_finished_and_stale_files(self, spill_dir, big_blobs):
         get_distance_backend("memmap").pairwise(big_blobs.X)

@@ -91,12 +91,12 @@ def assert_exhaustive_matches_dense(X):
     mreach_dense = mutual_reachability(dense, core_dense)
     np.testing.assert_array_equal(mreach_sparse.toarray()[off_diagonal], mreach_dense[off_diagonal])
 
-    mst_sparse = sparse_mst_edges(mreach_sparse)
+    mst_sparse = sparse_mst_edges(mreach_sparse, core_sparse)
     # The complete stored graph routes through the dense Prim kernel, so
     # the full edge list — endpoints, tie order and weights — must match.
     from repro.clustering.hierarchy import minimum_spanning_tree
 
-    mst_dense = minimum_spanning_tree(mreach_dense)
+    mst_dense = minimum_spanning_tree(dense, core_dense)
     np.testing.assert_array_equal(mst_sparse, mst_dense)
 
     ordering_sparse, reach_sparse = sparse_optics_ordering(graph.graph, core_sparse)
@@ -153,7 +153,7 @@ class TestAdversarialInputs:
         assert stored_zeros <= duplicate_pairs
         # And they survive the MST (as genuine weight-0 merges).
         core = graph.core_distances(min(2, X.shape[0]))
-        mst = sparse_mst_edges(mutual_reachability_graph(graph.graph, core))
+        mst = sparse_mst_edges(mutual_reachability_graph(graph.graph, core), core)
         assert mst.shape == (X.shape[0] - 1, 3)
         assert np.isfinite(mst[:, :2]).all()
 
@@ -207,7 +207,7 @@ class TestAdversarialInputs:
     def test_single_point_dataset(self):
         graph = build_neighbor_graph(np.zeros((1, 2)), epsilon=np.inf, k_neighbors=4)
         assert graph.graph.nnz == 0
-        assert sparse_mst_edges(graph.graph).shape == (0, 3)
+        assert sparse_mst_edges(graph.graph, graph.core_distances(1)).shape == (0, 3)
 
 
 class TestResolutionAndValidation:
